@@ -23,6 +23,9 @@ They carry their own committed floor
 (``benchmarks/baselines/BATCH_RANDOMIZED_BASELINE.json``, 5x) over a
 separate cell set; ``--check`` gates both sets, while the bare
 invocation keeps its historical meaning (deterministic cells only).
+``--cell PROTOCOL:ADVERSARY:N`` (repeatable) measures the named cells
+instead and only reports, e.g. the Figure-3 N=100 cells at two seeds
+per cell (``--scalar-trials 2 --batch-trials 2``).
 
 The gate is a ratio of two rates measured in the same process on the
 same machine, so unlike the absolute rates in BENCH_*.json reports it
@@ -189,7 +192,23 @@ def main(argv: "list[str] | None" = None) -> int:
         metavar="RATIO",
         help="override both baseline floors (<= 0 disables the gates)",
     )
+    parser.add_argument(
+        "--cell",
+        action="append",
+        default=[],
+        metavar="PROTOCOL:ADVERSARY:N",
+        help="measure this cell (F = 0.3 N) instead of the gated sets and "
+        "report its speedup without gating; repeatable",
+    )
     args = parser.parse_args(argv)
+
+    if args.cell:
+        cells = []
+        for text in args.cell:
+            protocol, adversary, n = text.split(":")
+            cells.append({"protocol": protocol, "adversary": adversary, "n": int(n)})
+        gate_cells(cells, 0.0, "requested-cell", args)
+        return 0
 
     gates = [(CELLS, args.baseline, "deterministic-cell")]
     if args.check:

@@ -15,9 +15,11 @@ tiers share the backend:
   protocol draws go through the RNG replay plane
   (:mod:`~repro.backends.batch.rng`) in scalar draw order; adversary
   setup draws and retimes are compiled into plans
-  (:mod:`~repro.backends.batch.adversaries`); in-flight messages live
-  in COO waves (:mod:`~repro.backends.batch.waves`). Slower than the
-  lockstep kernel — draws stay scalar — but still ≥5× the oracle.
+  (:mod:`~repro.backends.batch.adversaries`); each step's sends form
+  a COO wave, and undelivered messages sit in an in-flight store
+  indexed by (trial, arrival step) with per-trial arrival heaps
+  (:mod:`~repro.backends.batch.waves`). Slower than the lockstep
+  kernel — draws stay scalar — but still ≥5× the oracle.
 
 Eligibility (and the narrowest-reason rejection discipline) lives in
 :mod:`~repro.backends.batch.eligibility`; verdicts are memoized per

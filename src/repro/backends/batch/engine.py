@@ -5,10 +5,12 @@ adversary, n, f, max_steps) cell on a shared (T, N) grid. Unlike the
 legacy lockstep kernel it does not assume unit timings or scripted
 draws: per-trial *visited steps* are fast-forwarded exactly like the
 scalar event loop (min over awake wake-ups, pending arrivals and the
-adversary's scheduled wake-ups), messages live in COO waves carrying
-their absolute arrival step, and every protocol draw goes through the
-RNG replay plane in scalar draw order. The result is byte-identical
-``Outcome``s — the differential battery compares ``to_wire()`` rows.
+adversary's scheduled wake-ups), each pass's sends freeze into a COO
+wave that the in-flight store (``waves.InFlight``) books by (trial,
+arrival step), and every protocol draw goes through the RNG replay
+plane in scalar draw order. The result is
+byte-identical ``Outcome``s — the differential battery compares
+``to_wire()`` rows.
 
 Scalar-fidelity notes, each load-bearing:
 
@@ -20,9 +22,15 @@ Scalar-fidelity notes, each load-bearing:
   are still pending (those only force visited steps);
 - truncation (next interesting step beyond ``max_steps``) freezes
   ``clock.now`` at the last *visited* step — ``t_end`` reports it;
-- sleeping receivers wake at delivery and act the same step; crashed
-  receivers drop payloads but their pending arrivals still pull the
-  clock forward, exactly like the scalar network's buckets.
+- sleeping receivers wake at delivery and act the same step; a
+  message to a receiver that crashed in flight keeps its booking in
+  the store — its arrival step still pulls the clock forward, exactly
+  like the scalar network's buckets — but is dropped when popped, and
+  only messages to correct receivers count as in flight;
+- payload merging is an order-free OR, so a step's arrivals merge
+  into the pending rows with one plain fancy-index OR per
+  duplicate-occurrence rank (:func:`_or_rows`) instead of the
+  unbuffered ``ufunc.at``; only pull requests' order is observable.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from repro.backends.batch.waves import (
     KIND_GOSSIP,
     KIND_PULL,
     KIND_RELATION,
+    InFlight,
     Wave,
     WaveBuilder,
 )
@@ -50,6 +59,39 @@ __all__ = ["run_cell"]
 
 _AWAKE, _ASLEEP, _CRASHED = 0, 1, 2
 _NEVER = 2**62
+
+
+def _unique_passes(dest: np.ndarray) -> list[np.ndarray] | None:
+    """Split message indices into passes whose destinations are unique.
+
+    Pass k holds each destination's k-th message (a stable sort keeps
+    them in delivery order), so the number of passes is the step's
+    largest fan-in. None when every destination is already unique.
+    """
+    order = np.argsort(dest, kind="stable")
+    starts = np.flatnonzero(np.diff(dest[order], prepend=-1))
+    if starts.size == dest.size:
+        return None
+    rank = np.arange(dest.size) - np.repeat(starts, np.diff(starts, append=dest.size))
+    return [order[rank == k] for k in range(int(rank.max()) + 1)]
+
+
+def _or_rows(
+    target: np.ndarray,
+    dest: np.ndarray,
+    rows: np.ndarray,
+    passes: list[np.ndarray] | None,
+) -> None:
+    """``target[dest[j]] |= rows[j]`` for every j, duplicates included.
+
+    One buffered fancy-index OR per pass of :func:`_unique_passes`
+    (unique destinations), instead of the unbuffered ``bitwise_or.at``.
+    """
+    if passes is None:
+        target[dest] |= rows
+        return
+    for sel in passes:
+        target[dest[sel]] |= rows[sel]
 
 
 class _CellRun:
@@ -111,7 +153,7 @@ class _CellRun:
         self.crash_step = np.full((T, n), -1, dtype=np.int64)
         self.steps_sim = np.zeros(T, dtype=np.int64)
 
-        self.waves: list[Wave] = []
+        self.inflight = InFlight(T, n)
         self.builder: WaveBuilder | None = None
         #: (trial, pid) -> pull requesters awaiting an answer, in
         #: delivery order (== the scalar mailbox drain order).
@@ -127,16 +169,6 @@ class _CellRun:
         self.status[t, p] = _CRASHED
         self.next_action[t, p] = _NEVER
         self.crash_step[t, p] = self.now[t]
-
-    def send_snapshot(self, t: int, p: int, r: int) -> None:
-        """Protocol send of p's knowledge snapshot (G, plus I when
-        relational). Counted at emission even when omitted."""
-        self.sent[t, p] += 1
-        self.bytes_sent[t, p] += self._snap_nbytes
-        if self.plan.omitted[t, p]:
-            return
-        uid = self.builder.snapshot(t, p, self.K, self.I)
-        self.builder.add(t, p, r, self._snap_kind, uid)
 
     def send_snapshots_grouped(
         self,
@@ -180,14 +212,6 @@ class _CellRun:
                 np.repeat(uid, k),
             )
 
-    def send_pull(self, t: int, p: int, r: int) -> None:
-        """Protocol send of a 1-byte pull request."""
-        self.sent[t, p] += 1
-        self.bytes_sent[t, p] += 1
-        if self.plan.omitted[t, p]:
-            return
-        self.builder.add(t, p, r, KIND_PULL, 0)
-
     def send_pulls_block(
         self, sti: np.ndarray, spi: np.ndarray, targets: np.ndarray
     ) -> None:
@@ -230,51 +254,37 @@ class _CellRun:
 
     def _deliver(self) -> None:
         """Deliver every in-flight message arriving at a live trial's now."""
-        now, status = self.now, self.status
-        for wave in self.waves:
-            m = wave.alive & self.live[wave.ti] & (wave.arrive == now[wave.ti])
-            if not m.any():
-                continue
-            wave.alive &= ~m
-            ti, ri = wave.ti[m], wave.ri[m]
-            keep = status[ti, ri] != _CRASHED  # crashed receivers drop
-            if not keep.all():
-                idx = np.flatnonzero(m)[keep]
-                m = np.zeros_like(m)
-                m[idx] = True
-                ti, ri = wave.ti[m], wave.ri[m]
-            if ti.size == 0:
-                continue
-            kind, uid = wave.kind[m], wave.uid[m]
-            np.add.at(self.received, (ti, ri), 1)
-            gm = kind != KIND_PULL
-            if gm.any():
-                flat_idx = ti[gm] * self.n + ri[gm]
-                flat_p = self.pend_g.reshape(-1, self.W)
-                np.bitwise_or.at(flat_p, flat_idx, wave.snap_g[uid[gm]])
-                if self.relational:
-                    flat_pi = self.pend_i.reshape(-1, self.n * self.W)
-                    np.bitwise_or.at(
-                        flat_pi,
-                        flat_idx,
-                        wave.snap_i[uid[gm]].reshape(-1, self.n * self.W),
-                    )
-            if self.uses_pull and not gm.all():
-                si = wave.si[m]
-                for j in np.flatnonzero(~gm):  # wave order == mailbox order
-                    self.requesters.setdefault(
-                        (int(ti[j]), int(ri[j])), []
-                    ).append(int(si[j]))
-            got = np.zeros((self.T, self.n), dtype=bool)
-            got[ti, ri] = True
-            woken = got & (status == _ASLEEP)
-            if woken.any():
-                status[woken] = _AWAKE
-                self.next_action[woken] = np.broadcast_to(
-                    now[:, None], woken.shape
-                )[woken]
-                self.wake_counts[woken] += 1
-        self.waves = [w for w in self.waves if w.alive.any()]
+        got = self.inflight.pop_due(self.now, self.live, self.status)
+        if got is None:
+            return
+        ti, si, ri, gossip, rows_g, rows_i = got
+        n, W = self.n, self.W
+        dest = ti * n + ri
+        self.received += np.bincount(dest, minlength=self.T * n).reshape(self.T, n)
+        if rows_g is not None:
+            gdest = dest[gossip] if self.uses_pull else dest
+            passes = _unique_passes(gdest)
+            _or_rows(self.pend_g.reshape(-1, W), gdest, rows_g, passes)
+            if self.relational:
+                _or_rows(
+                    self.pend_i.reshape(-1, n * W),
+                    gdest,
+                    rows_i.reshape(-1, n * W),
+                    passes,
+                )
+        if self.uses_pull and not gossip.all():
+            requesters = self.requesters
+            for j in np.flatnonzero(~gossip).tolist():  # bucket order
+                requesters.setdefault((int(ti[j]), int(ri[j])), []).append(int(si[j]))
+        woken = np.zeros(self.T * n, dtype=bool)
+        woken[dest] = True
+        woken = woken.reshape(self.T, n) & (self.status == _ASLEEP)
+        if woken.any():
+            self.status[woken] = _AWAKE
+            self.next_action[woken] = np.broadcast_to(
+                self.now[:, None], woken.shape
+            )[woken]
+            self.wake_counts[woken] += 1
 
     def _local_pass(self) -> Wave | None:
         """Run every due process's local step; freeze the sends."""
@@ -302,7 +312,7 @@ class _CellRun:
         wave = self.builder.build(self.now, self.plan.delta, self.plan.d)
         self.builder = None
         if wave is not None:
-            self.waves.append(wave)
+            self.inflight.add(wave)
         return wave
 
     # ------------------------------------------------------------- driver
@@ -320,12 +330,11 @@ class _CellRun:
                     "batch kernel failed to converge (internal scheduling bug)"
                 )
             awake_count = ((self.status == _AWAKE) & self.live[:, None]).sum(axis=1)
-            inflight = np.zeros(self.T, dtype=np.int64)
+            inflight = self.inflight.to_correct(self.status)
             cand = np.where(self.status == _AWAKE, self.next_action, _NEVER).min(
                 axis=1
             )
-            for wave_ in self.waves:
-                wave_.accumulate_pending(self.status, inflight, cand)
+            cand = np.minimum(cand, self.inflight.next_arrival)
             cand = np.minimum(cand, self.plan.sched_next)
 
             quiesced = self.live & (awake_count == 0) & (inflight == 0)

@@ -10,9 +10,9 @@ due mask is row-major: trials ascending, pid ascending — the scalar
 engine's heap-pop order for one step), and the resulting send sets are
 registered as whole blocks (``grid.send_snapshots_grouped``) so the
 per-message cost is one RNG draw, not a Python call chain. The pull
-family is the exception: its per-process send sequence (requester
-answers, then a pull, then possibly a push) is data-dependent, so it
-keeps the scalar per-message path.
+family's per-process send sequence (requester answers, then a pull,
+then possibly a push) is data-dependent, so it collects the sends per
+category in Python and emits them as three blocks.
 
 Knowledge-merge bookkeeping note: the grids merge pending payloads
 with a single OR per drain and compute ``learned`` as "the pending
@@ -199,6 +199,22 @@ class _RelationalKernel:
     def __init__(self, n: int, f: int, T: int):
         self.quiet = np.zeros((T, n), dtype=np.int64)
         self.has_sent = np.zeros((T, n), dtype=bool)
+        # Memoised dissemination proof: a verdict depends only on the
+        # process's K and I, which change only on a step where it
+        # learned something — the one event that clears ``proof_fresh``.
+        self.proof = np.zeros((T, n), dtype=bool)
+        self.proof_fresh = np.zeros((T, n), dtype=bool)
+
+    @staticmethod
+    def _proved(g, cti, cpi):
+        """Dissemination provably complete for each (cti, cpi): its
+        relation shows every process whose rumor it knows as holding
+        its whole gossip row."""
+        gb = g.K[cti, cpi]  # (S, W) each candidate's gossip row
+        rel = g.I[cti, cpi]  # (S, N, W) each candidate's relation
+        contains = ((rel & gb[:, None, :]) == gb[:, None, :]).all(axis=2)
+        known = np.unpackbits(gb, axis=1, count=g.n).astype(bool)
+        return (contains | ~known).all(axis=1)
 
     def _sleepers(self, g, due):
         """Scalar rule: has_sent and quiet >= patience and (dissemination
@@ -208,18 +224,21 @@ class _RelationalKernel:
         cti, cpi = np.nonzero(cand)
         if cti.size == 0:
             return sleep
-        gb = g.K[cti, cpi]  # (S, W) each candidate's gossip row
-        rel = g.I[cti, cpi]  # (S, N, W) each candidate's relation
-        contains = ((rel & gb[:, None, :]) == gb[:, None, :]).all(axis=2)
-        known = np.unpackbits(gb, axis=1, count=g.n).astype(bool)
-        done = (contains | ~known).all(axis=1)
+        stale = ~self.proof_fresh[cti, cpi]
+        if stale.any():
+            sti, spi = cti[stale], cpi[stale]
+            self.proof[sti, spi] = self._proved(g, sti, spi)
+            self.proof_fresh[sti, spi] = True
+        done = self.proof[cti, cpi]
         done |= self.quiet[cti, cpi] >= self.patience + self.give_up
         sleep[cti[done], cpi[done]] = True
         return sleep
 
     def step(self, g, due, learned):
-        self.quiet[due & learned] = 0
+        taught = due & learned
+        self.quiet[taught] = 0
         self.quiet[due & ~learned] += 1
+        self.proof_fresh[taught] = False
         sleep = self._sleepers(g, due)
         senders = due & ~sleep
         sti, spi = np.nonzero(senders)

@@ -57,6 +57,30 @@ def test_eligible_cells_are_wire_identical(protocol, adversary):
         assert wire(batch_outcome) == wire(SCALAR.run_one(spec)), spec
 
 
+#: High-N leg: multi-byte packed rows and several same-step arrivals at
+#: one receiver (the fan-in the scatter-free merge splits into passes),
+#: on the heaviest relational kernels and push-pull under the paper's
+#: adaptive adversaries. F = 0.3 N like the figure grid.
+HIGH_N_CELLS = [
+    (p, a)
+    for p in ("ears", "sears", "push-pull")
+    for a in ("ugf", "str-2.1.0", "str-2.1.1")
+]
+
+
+@pytest.mark.parametrize("protocol,adversary", HIGH_N_CELLS)
+def test_high_n_cells_are_wire_identical(protocol, adversary):
+    specs = [
+        TrialSpec(protocol=protocol, adversary=adversary, n=n, f=round(0.3 * n), seed=seed)
+        for n in (40, 70)
+        for seed in range(2)
+    ]
+    if not BATCH.eligible(specs[0]):
+        pytest.skip(f"cell not batch-eligible: {BATCH.eligible(specs[0]).reason}")
+    for spec, batch_outcome in zip(specs, BATCH.run_batch(specs)):
+        assert wire(batch_outcome) == wire(SCALAR.run_one(spec)), spec
+
+
 def test_some_cells_are_eligible():
     """The battery must not silently become vacuous: unless the
     environment pins a sanitizer (the CI sanitize job), the grid has
