@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import pathlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.campaign.keys import spec_fingerprint, trial_key
 from repro.campaign.pool import WorkerPool
@@ -76,6 +76,22 @@ class TrialResult:
     @property
     def ok(self) -> bool:
         return self.outcome is not None
+
+
+@dataclass(slots=True)
+class _Batch:
+    """Bookkeeping of one ``run_trials`` call: progress position,
+    status tallies for the ``phase`` record, and where it ran."""
+
+    total: int
+    callback: ProgressCallback | None
+    t0: float
+    #: Set on telemetry records of trials served elsewhere ("service").
+    via: str | None = None
+    done: int = 0
+    counts: dict[str, int] = field(
+        default_factory=lambda: {"executed": 0, "cached": 0, "failed": 0}
+    )
 
 
 class Campaign:
@@ -254,6 +270,73 @@ class Campaign:
 
     # -- execution ---------------------------------------------------------------
 
+    def _open_batch(
+        self, total: int, progress: ProgressCallback | None, via: str | None = None
+    ) -> _Batch:
+        callback = progress if progress is not None else self.progress
+        t0 = time.perf_counter() if self.metrics is not None else 0.0
+        return _Batch(total=total, callback=callback, t0=t0, via=via)
+
+    def _emit(
+        self,
+        batch: _Batch,
+        kind: str,
+        spec: TrialSpec,
+        error: str | None = None,
+        outcome: Outcome | None = None,
+        seconds: float | None = None,
+        backend: str | None = None,
+    ) -> None:
+        """Stats, metrics, telemetry and progress for one finished trial."""
+        batch.done += 1
+        self.stats.count(kind)
+        batch.counts[kind] += 1
+        if self.metrics is not None:
+            self.metrics.count(f"campaign.trials_{kind}")
+        if self.telemetry is not None:
+            record = {
+                "status": kind,
+                "protocol": spec.protocol,
+                "adversary": spec.adversary,
+                "n": spec.n,
+                "f": spec.f,
+                "seed": spec.seed,
+            }
+            if batch.via is not None:
+                record["via"] = batch.via
+            if seconds is not None:
+                record["seconds"] = round(seconds, 6)
+            if backend is not None:
+                record["backend"] = backend
+            if outcome is not None:
+                record["completed"] = outcome.completed
+                record["t_end"] = int(outcome.t_end)
+                record["messages"] = int(outcome.sent.sum())
+            if error is not None:
+                record["error"] = error[:_TELEMETRY_ERROR_CHARS]
+            self.telemetry.emit("trial", **record)
+        if batch.callback is not None:
+            batch.callback(
+                ProgressEvent(
+                    kind=kind, spec=spec, done=batch.done, total=batch.total,
+                    error=error,
+                )
+            )
+
+    def _close_batch(self, batch: _Batch) -> None:
+        """The batch's ``campaign.run_trials`` span and ``phase`` record."""
+        if self.metrics is None:
+            return
+        seconds = time.perf_counter() - batch.t0
+        self.metrics.observe_span("campaign.run_trials", seconds)
+        if self.telemetry is not None:
+            record = {
+                "trials": batch.total, "seconds": round(seconds, 6), **batch.counts
+            }
+            if batch.via is not None:
+                record["via"] = batch.via
+            self.telemetry.emit("phase", **record)
+
     def run_trials(
         self,
         specs,
@@ -262,53 +345,8 @@ class Campaign:
     ) -> list[TrialResult]:
         """Satisfy every spec — from cache where possible — in order."""
         specs = list(specs)
-        callback = progress if progress is not None else self.progress
         total = len(specs)
-        done = 0
-        batch_counts = {"executed": 0, "cached": 0, "failed": 0}
-        batch_t0 = time.perf_counter() if self.metrics is not None else 0.0
-
-        def emit(
-            kind: str,
-            spec: TrialSpec,
-            error: str | None = None,
-            outcome: Outcome | None = None,
-            seconds: float | None = None,
-            backend: str | None = None,
-        ) -> None:
-            nonlocal done
-            done += 1
-            self.stats.count(kind)
-            batch_counts[kind] += 1
-            if self.metrics is not None:
-                self.metrics.count(f"campaign.trials_{kind}")
-            if self.telemetry is not None:
-                record = {
-                    "status": kind,
-                    "protocol": spec.protocol,
-                    "adversary": spec.adversary,
-                    "n": spec.n,
-                    "f": spec.f,
-                    "seed": spec.seed,
-                }
-                if seconds is not None:
-                    record["seconds"] = round(seconds, 6)
-                if backend is not None:
-                    record["backend"] = backend
-                if outcome is not None:
-                    record["completed"] = outcome.completed
-                    record["t_end"] = int(outcome.t_end)
-                    record["messages"] = int(outcome.sent.sum())
-                if error is not None:
-                    record["error"] = error[:_TELEMETRY_ERROR_CHARS]
-                self.telemetry.emit("trial", **record)
-            if callback is not None:
-                callback(
-                    ProgressEvent(
-                        kind=kind, spec=spec, done=done, total=total, error=error
-                    )
-                )
-
+        batch = self._open_batch(total, progress)
         results: list[TrialResult | None] = [None] * total
         pending: list[tuple[int, TrialSpec, str | None]] = []
         first_pending: dict[str, int] = {}
@@ -322,7 +360,7 @@ class Campaign:
             outcome = self._lookup(key)
             if outcome is not None:
                 results[i] = TrialResult(spec=spec, outcome=outcome, cached=True)
-                emit("cached", spec, outcome=outcome)
+                self._emit(batch, "cached", spec, outcome=outcome)
             elif key is not None and key in first_pending:
                 duplicates.append((i, first_pending[key]))
             else:
@@ -352,7 +390,10 @@ class Campaign:
                     if len(to_persist) >= _STORE_FLUSH_EVERY:
                         flush_store()
             results[i] = TrialResult(spec=spec, outcome=outcome, backend=backend)
-            emit("executed", spec, outcome=outcome, seconds=seconds, backend=backend)
+            self._emit(
+                batch, "executed", spec,
+                outcome=outcome, seconds=seconds, backend=backend,
+            )
 
         # ---- backend routing (docs/BACKENDS.md) ----
         # Deterministic per-spec partition: the batch engine takes the
@@ -386,7 +427,7 @@ class Campaign:
                 elif mode == "batch":
                     error = f"batch backend ineligible — {reason}"
                     results[i] = TrialResult(spec=spec, outcome=None, error=error)
-                    emit("failed", spec, error)
+                    self._emit(batch, "failed", spec, error)
                 else:
                     scalar_items.append(item)
                     if self.metrics is not None:
@@ -411,7 +452,7 @@ class Campaign:
                         for i, spec, _key in batch_items:
                             error = f"batch backend error: {exc}"
                             results[i] = TrialResult(spec=spec, outcome=None, error=error)
-                            emit("failed", spec, error)
+                            self._emit(batch, "failed", spec, error)
                     else:
                         scalar_items = sorted(scalar_items + batch_items)
                 else:
@@ -427,7 +468,7 @@ class Campaign:
                     )
                 else:
                     results[i] = TrialResult(spec=spec, outcome=None, error=result.error)
-                    emit("failed", spec, result.error)
+                    self._emit(batch, "failed", spec, result.error)
         finally:
             flush_store()
 
@@ -439,24 +480,15 @@ class Campaign:
                 results[i] = TrialResult(
                     spec=primary.spec, outcome=primary.outcome, cached=True
                 )
-                emit("cached", primary.spec, outcome=primary.outcome)
+                self._emit(batch, "cached", primary.spec, outcome=primary.outcome)
             else:
                 results[i] = TrialResult(
                     spec=primary.spec, outcome=None, error=primary.error
                 )
-                emit("failed", primary.spec, primary.error)
+                self._emit(batch, "failed", primary.spec, primary.error)
 
         assert all(r is not None for r in results)
-        if self.metrics is not None:
-            batch_seconds = time.perf_counter() - batch_t0
-            self.metrics.observe_span("campaign.run_trials", batch_seconds)
-            if self.telemetry is not None:
-                self.telemetry.emit(
-                    "phase",
-                    trials=total,
-                    seconds=round(batch_seconds, 6),
-                    **batch_counts,
-                )
+        self._close_batch(batch)
         return results  # type: ignore[return-value]
 
     def run_trial(self, spec: TrialSpec) -> Outcome:

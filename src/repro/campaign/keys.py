@@ -22,7 +22,7 @@ from typing import Any
 from repro.errors import ConfigurationError
 from repro.experiments.config import TrialSpec
 
-__all__ = ["KEY_VERSION", "trial_key", "spec_fingerprint"]
+__all__ = ["KEY_VERSION", "trial_key", "fingerprint_key", "spec_fingerprint"]
 
 #: Bump on any result-affecting change to the simulation semantics.
 KEY_VERSION = 1
@@ -67,19 +67,24 @@ def spec_fingerprint(spec: TrialSpec) -> dict[str, Any]:
     return payload
 
 
-def trial_key(spec: TrialSpec) -> str:
-    """Stable content address of one trial, identical across processes.
+def fingerprint_key(fingerprint: dict[str, Any]) -> str:
+    """SHA-256 over the canonical JSON of a spec fingerprint.
 
     ``json.dumps`` with sorted keys and fixed separators is canonical
     for the JSON-native types specs carry (str/int/float/bool/None);
-    non-JSON kwarg values are rejected rather than hashed by ``repr``,
-    which would be representation- not content-stable.
+    non-JSON values are rejected with :class:`ConfigurationError`
+    rather than hashed by ``repr``, which would be representation- not
+    content-stable.
     """
-    payload = spec_fingerprint(spec)
     try:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(
             f"spec kwargs must be JSON-serialisable to be cacheable: {exc}"
         ) from exc
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def trial_key(spec: TrialSpec) -> str:
+    """Stable content address of one trial, identical across processes."""
+    return fingerprint_key(spec_fingerprint(spec))

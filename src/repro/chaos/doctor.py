@@ -28,16 +28,17 @@ truncating interior bytes would destroy good records after them.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.campaign.keys import fingerprint_key
 from repro.campaign.store import STORE_FILENAME as _STORE_FILENAME
 from repro.campaign.store import discover_store_files
 from repro.chaos.supervisor import read_quarantine
+from repro.errors import ConfigurationError
 from repro.sim.outcome import Outcome
 
 __all__ = ["DoctorFinding", "DoctorReport", "diagnose"]
@@ -118,10 +119,9 @@ class DoctorReport:
 def _recompute_key(fingerprint: dict[str, Any]) -> str | None:
     """The content address the stored fingerprint *should* have."""
     try:
-        text = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
-    except (TypeError, ValueError):
+        return fingerprint_key(fingerprint)
+    except ConfigurationError:
         return None
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _check_record(

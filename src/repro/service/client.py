@@ -34,7 +34,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.campaign.campaign import Campaign, TrialResult
 from repro.campaign.keys import trial_key
-from repro.campaign.progress import ProgressEvent
 from repro.chaos.supervisor import RetryPolicy
 from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.config import TrialSpec
@@ -519,8 +518,9 @@ class ServiceCampaign(Campaign):
     with :meth:`Outcome.from_wire`, so results are byte-identical at
     the ``json.dumps(outcome.to_wire())`` level to inline execution.
     The in-session memo still applies (a repeated spec never re-crosses
-    the network), and stats/progress/telemetry fire exactly like local
-    runs — with ``via="service"`` on telemetry trial records.
+    the network), and stats/progress/telemetry go through the same
+    :class:`Campaign` bookkeeping as local runs — with ``via="service"``
+    on the batch's ``trial`` and ``phase`` telemetry records.
 
     Transport failures are retried under the client's
     :class:`~repro.chaos.supervisor.RetryPolicy`
@@ -633,6 +633,7 @@ class ServiceCampaign(Campaign):
             return super().run_trials(specs, progress=progress)
         if self._remote_down and not self._probe():
             return super().run_trials(specs, progress=progress)
+        batch = self._open_batch(len(specs), progress, via="service")
         for i, spec in enumerate(specs):
             if self.sanitize is not None and spec.sanitize is None:
                 specs[i] = replace(spec, sanitize=self.sanitize)
@@ -684,52 +685,17 @@ class ServiceCampaign(Campaign):
                     spec=spec, outcome=None, error=reply.error
                 )
 
-        self._emit_batch(results, progress=progress)
-        return results  # type: ignore[return-value]
-
-    def _emit_batch(self, results, *, progress) -> None:
-        """Stats / metrics / telemetry / progress for a remote batch —
-        the same per-trial bookkeeping the inherited path does."""
-        callback = progress if progress is not None else self.progress
-        total = len(results)
-        for done, result in enumerate(results, start=1):
+        for result in results:
             if result.outcome is None:
                 kind = "failed"
             else:
                 kind = "cached" if result.cached else "executed"
-            self.stats.count(kind)
-            if self.metrics is not None:
-                self.metrics.count(f"campaign.trials_{kind}")
-            if self.telemetry is not None:
-                spec = result.spec
-                record = {
-                    "status": kind,
-                    "via": "service",
-                    "protocol": spec.protocol,
-                    "adversary": spec.adversary,
-                    "n": spec.n,
-                    "f": spec.f,
-                    "seed": spec.seed,
-                }
-                if result.backend is not None:
-                    record["backend"] = result.backend
-                if result.outcome is not None:
-                    record["completed"] = result.outcome.completed
-                    record["t_end"] = int(result.outcome.t_end)
-                    record["messages"] = int(result.outcome.sent.sum())
-                if result.error is not None:
-                    record["error"] = result.error[:240]
-                self.telemetry.emit("trial", **record)
-            if callback is not None:
-                callback(
-                    ProgressEvent(
-                        kind=kind,
-                        spec=result.spec,
-                        done=done,
-                        total=total,
-                        error=result.error,
-                    )
-                )
+            self._emit(
+                batch, kind, result.spec, result.error,
+                outcome=result.outcome, backend=result.backend,
+            )
+        self._close_batch(batch)
+        return results  # type: ignore[return-value]
 
     # -- lifecycle -----------------------------------------------------------------
 

@@ -19,7 +19,14 @@ Client → server ops (every frame carries ``"v": PROTO_VERSION`` and
   completes* (cache hits first, computed misses later, completion
   order) and finishes with a ``done`` frame. ``i`` indexes into the
   submitted batch so the client can restore submission order.
-- ``stats`` — dedup/hit/compute counters snapshot.
+- ``stats`` — the daemon's lifetime counters, answered as
+  ``{"counters": {...}, "inflight": <n>, "store_records": <n>}``.
+  ``counters`` always has these 13 keys (zeros included), each read
+  from the daemon's metrics registry counter ``service.<key>``:
+  ``connections``, ``requests``, ``trials``, ``hits``, ``computed``,
+  ``dedup_inflight``, ``failed``, ``errors``, ``busy_rejections``,
+  ``aborted_streams``, ``idle_closed``, ``injected_faults``; and
+  ``drains``, read from ``service.drain_started``.
 - ``ping`` — liveness.
 
 Server → client frames:

@@ -63,7 +63,7 @@ from repro.service.protocol import (
     spec_from_wire,
 )
 
-__all__ = ["TrialService", "ServiceThread", "serve_forever"]
+__all__ = ["STATS_COUNTERS", "TrialService", "ServiceThread", "serve_forever"]
 
 #: Most trials one scheduler wave hands the campaign. Bounds the
 #: latency a late arrival waits behind a huge batch, while still
@@ -83,6 +83,18 @@ DEFAULT_MAX_PENDING = 4096
 #: long enough for a scheduler wave to make room, short enough that a
 #: retrying client barely notices.
 DEFAULT_RETRY_AFTER = 0.5
+
+#: The ``stats`` op's ``counters`` object: key -> the registry counter
+#: it reads. Every key is present, zeros included.
+STATS_COUNTERS = {
+    key: f"service.{key}"
+    for key in (
+        "connections", "requests", "trials", "hits", "computed",
+        "dedup_inflight", "failed", "errors", "busy_rejections",
+        "aborted_streams", "idle_closed", "injected_faults",
+    )
+}
+STATS_COUNTERS["drains"] = "service.drain_started"
 
 
 class TrialService:
@@ -141,23 +153,15 @@ class TrialService:
         #: the service down abruptly (no drain, no goodbye frames).
         self.dead = asyncio.Event()
         self.addresses: list[ServiceAddress] = []
-        #: Lifetime counters, served by the ``stats`` op. Kept apart
-        #: from the metrics registry so they exist even metrics-off.
-        self.counters: dict[str, int] = {
-            "connections": 0,
-            "requests": 0,
-            "trials": 0,
-            "hits": 0,
-            "computed": 0,
-            "dedup_inflight": 0,
-            "failed": 0,
-            "errors": 0,
-            "busy_rejections": 0,
-            "aborted_streams": 0,
-            "idle_closed": 0,
-            "injected_faults": 0,
-            "drains": 0,
-        }
+        #: Where every ``service.*`` counter lives: the campaign's
+        #: registry when metrics are on, else a private one (counting
+        #: costs nothing), so the ``stats`` op always has it.
+        metrics = getattr(campaign, "metrics", None)
+        if metrics is None:
+            from repro.obs.registry import MetricsRegistry
+
+            metrics = MetricsRegistry()
+        self.metrics = metrics
 
     # -- observability -------------------------------------------------------------
 
@@ -168,14 +172,17 @@ class TrialService:
         if telemetry is not None:
             telemetry.emit("service", event=event, **fields)
 
+    def stats_counters(self) -> dict[str, int]:
+        """The ``stats`` op's counters, read from :attr:`metrics`."""
+        value = self.metrics.counter_value
+        return {key: value(name) for key, name in STATS_COUNTERS.items()}
+
     def _note_injected(self, site: str) -> None:
-        self.counters["injected_faults"] += 1
-        self._count_metric("service.injected_faults")
+        self.metrics.count("service.injected_faults")
         self._emit_event("injected_fault", site=site)
 
     def _note_abort(self) -> None:
-        self.counters["aborted_streams"] += 1
-        self._count_metric("service.aborted_streams")
+        self.metrics.count("service.aborted_streams")
         self._emit_event("aborted_stream")
 
     # -- lifecycle -----------------------------------------------------------------
@@ -278,8 +285,7 @@ class TrialService:
         if self._draining:
             return
         self._draining = True
-        self.counters["drains"] += 1
-        self._count_metric("service.drain_started")
+        self.metrics.count("service.drain_started")
         self._emit_event("drain", phase="start", inflight=self.inflight)
         for server in self._servers:
             server.close()
@@ -298,8 +304,8 @@ class TrialService:
                 break
             await asyncio.sleep(0.02)
         if busy:
-            self._count_metric("service.drain_timeouts")
-        self._count_metric("service.drain_finished")
+            self.metrics.count("service.drain_timeouts")
+        self.metrics.count("service.drain_finished")
         self._emit_event("drain", phase="finished", clean=not busy)
 
     # -- scheduling ----------------------------------------------------------------
@@ -314,8 +320,7 @@ class TrialService:
         """
         fut = self._inflight.get(key)
         if fut is not None:
-            self.counters["dedup_inflight"] += 1
-            self._count_metric("service.dedup_inflight")
+            self.metrics.count("service.dedup_inflight")
             return fut, True
         fut = asyncio.get_running_loop().create_future()
         self._inflight[key] = fut
@@ -350,11 +355,6 @@ class TrialService:
                 if not fut.done():
                     fut.set_result(result)
 
-    def _count_metric(self, name: str, value: int = 1) -> None:
-        metrics = getattr(self.campaign, "metrics", None)
-        if metrics is not None:
-            metrics.count(name, value)
-
     @property
     def inflight(self) -> int:
         """Unique content addresses currently being computed."""
@@ -380,8 +380,7 @@ class TrialService:
             self._note_injected("service.conn_refuse")
             writer.transport.abort()
             return
-        self.counters["connections"] += 1
-        self._count_metric("service.connections")
+        self.metrics.count("service.connections")
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
@@ -401,8 +400,7 @@ class TrialService:
                             # waiting on its own computation, so re-arm.
                             if any(not s.done() for s in submits):
                                 continue
-                            self.counters["idle_closed"] += 1
-                            self._count_metric("service.idle_closed")
+                            self.metrics.count("service.idle_closed")
                             self._emit_event("idle_closed")
                             break
                     else:
@@ -417,13 +415,13 @@ class TrialService:
                 try:
                     frame = decode_frame(line)
                 except ConfigurationError as exc:
-                    self.counters["errors"] += 1
+                    self.metrics.count("service.errors")
                     await self._send(writer, lock, {"v": PROTO_VERSION, "op": "error", "error": str(exc)})
                     continue
                 version = frame.get("v", PROTO_VERSION)
                 op = frame.get("op")
                 if version != PROTO_VERSION:
-                    self.counters["errors"] += 1
+                    self.metrics.count("service.errors")
                     await self._send(
                         writer,
                         lock,
@@ -461,7 +459,7 @@ class TrialService:
                         {
                             "v": PROTO_VERSION,
                             "op": "stats",
-                            "counters": dict(self.counters),
+                            "counters": self.stats_counters(),
                             "inflight": self.inflight,
                             "store_records": (
                                 len(self.campaign.store)
@@ -480,7 +478,7 @@ class TrialService:
                     self._submit_tasks.add(submit)
                     submit.add_done_callback(self._submit_tasks.discard)
                 else:
-                    self.counters["errors"] += 1
+                    self.metrics.count("service.errors")
                     await self._send(
                         writer,
                         lock,
@@ -528,7 +526,7 @@ class TrialService:
         req_id = frame.get("id")
         trials = frame.get("trials")
         if not isinstance(trials, list):
-            self.counters["errors"] += 1
+            self.metrics.count("service.errors")
             await self._send(
                 writer,
                 lock,
@@ -562,8 +560,7 @@ class TrialService:
                 if self._draining
                 else f"pending queue full ({self._queue.qsize()}/{self.max_pending})"
             )
-            self.counters["busy_rejections"] += 1
-            self._count_metric("service.busy_rejections")
+            self.metrics.count("service.busy_rejections")
             self._emit_event("busy_rejection", reason=reason)
             await self._send(
                 writer,
@@ -577,10 +574,8 @@ class TrialService:
                 },
             )
             return
-        self.counters["requests"] += 1
-        self.counters["trials"] += len(trials)
-        self._count_metric("service.requests")
-        self._count_metric("service.trials", len(trials))
+        self.metrics.count("service.requests")
+        self.metrics.count("service.trials", len(trials))
         claims: list[tuple[int, str, asyncio.Future, bool]] = []
         counts = {"hit": 0, "computed": 0, "dedup": 0, "failed": 0}
         for i, wire in enumerate(trials):
@@ -589,7 +584,7 @@ class TrialService:
                 key = trial_key(spec)
             except ConfigurationError as exc:
                 counts["failed"] += 1
-                self.counters["failed"] += 1
+                self.metrics.count("service.failed")
                 await self._send(
                     writer,
                     lock,
@@ -650,14 +645,14 @@ class TrialService:
                     out["backend"] = result.backend
                 counts[status] += 1
                 if status == "hit":
-                    self.counters["hits"] += 1
+                    self.metrics.count("service.hits")
                 elif status == "computed":
-                    self.counters["computed"] += 1
+                    self.metrics.count("service.computed")
             else:
                 out["status"] = "failed"
                 out["error"] = result.error
                 counts["failed"] += 1
-                self.counters["failed"] += 1
+                self.metrics.count("service.failed")
             if tear_rule is not None:
                 # The peer receives half an NDJSON line, then the
                 # transport dies: a torn frame, never a parseable one.

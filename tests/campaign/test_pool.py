@@ -71,7 +71,10 @@ def test_error_carries_the_full_worker_traceback():
 
 
 def test_run_trial_batch_returns_tagged_wire_pairs():
-    batch = run_trial_batch([trial(0), trial(0, protocol="no-such-protocol")])
+    chunk = run_trial_batch([trial(0), trial(0, protocol="no-such-protocol")])
+    # One chunk shape, metrics on or off: off carries no registry/timings.
+    assert chunk["metrics"] is None and chunk["seconds"] == [None, None]
+    batch = chunk["results"]
     assert [tag for tag, _ in batch] == ["ok", "error"]
     outcome = Outcome.from_wire(batch[0][1])
     assert outcome.n == 8 and outcome.completed

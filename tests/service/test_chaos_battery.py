@@ -80,7 +80,7 @@ def test_client_side_fault_converges_byte_identical(plan_name, tmp_path, baselin
             results = campaign.run_trials(SPECS)
             assert all(r.ok for r in results)
             assert wire_image(results) == baseline
-        server_counters = dict(host.service.counters)
+        server_counters = host.service.stats_counters()
 
     # The fault fired (anti-vacuous) and the retry absorbed it: no
     # fallback, and the daemon — not the local path — computed trials.
@@ -139,7 +139,7 @@ def test_server_side_fault_converges_byte_identical(plan_name, tmp_path, baselin
                 results = campaign.run_trials(SPECS)
             assert all(r.ok for r in results)
             assert wire_image(results) == baseline
-        server_counters = dict(host.service.counters)
+        server_counters = host.service.stats_counters()
 
     assert server_counters["injected_faults"] >= 1
     if plan_name == "daemon-kill":
@@ -185,7 +185,7 @@ def test_faults_clear_and_later_batches_run_remote(tmp_path, baseline):
             second = campaign.run_trials(more)
             assert all(r.ok for r in second)
         served = (
-            host.service.counters["computed"] + host.service.counters["hits"]
+            host.service.metrics.counter_value("service.computed") + host.service.metrics.counter_value("service.hits")
         )
         assert served >= len(SPECS) + len(more)
     assert metrics.counters["service.retries"] == retries_after_first
@@ -221,5 +221,5 @@ def test_cli_sweep_through_faulted_daemon_completes(tmp_path, monkeypatch):
             ]
         )
         assert code == 0
-        assert host.service.counters["injected_faults"] >= 1
-        assert host.service.counters["computed"] >= 1
+        assert host.service.metrics.counter_value("service.injected_faults") >= 1
+        assert host.service.metrics.counter_value("service.computed") >= 1

@@ -199,19 +199,19 @@ def test_vanished_submitter_is_counted_and_dedup_clients_still_answered(tmp_path
         b = threading.Thread(target=run_b)
         b.start()
         for _ in range(600):  # b's claim dedups onto the ghost's future
-            if host.service.counters["dedup_inflight"] == 1:
+            if host.service.metrics.counter_value("service.dedup_inflight") == 1:
                 break
             time.sleep(0.05)
-        assert host.service.counters["dedup_inflight"] == 1
+        assert host.service.metrics.counter_value("service.dedup_inflight") == 1
 
         ghost.close()  # the submitter vanishes mid-wait
         for _ in range(600):
-            if host.service.counters["aborted_streams"] >= 1:
+            if host.service.metrics.counter_value("service.aborted_streams") >= 1:
                 break
             time.sleep(0.05)
         release.set()
         b.join(timeout=120)
-        counters = dict(host.service.counters)
+        counters = host.service.stats_counters()
 
     assert counters["aborted_streams"] == 1
     assert campaign.metrics.counters["service.aborted_streams"] == 1
@@ -238,7 +238,7 @@ def test_full_pending_queue_answers_busy_with_retry_hint(tmp_path):
                 client.submit([trial()])
         assert excinfo.value.retry_after == 1.5
         assert "queue full" in str(excinfo.value)
-        assert host.service.counters["busy_rejections"] == 1
+        assert host.service.metrics.counter_value("service.busy_rejections") == 1
 
 
 def test_busy_rejection_is_retried_and_absorbed(tmp_path):
@@ -267,7 +267,7 @@ def test_busy_rejection_is_retried_and_absorbed(tmp_path):
         replies = client.submit([trial()])
         client.close()
         assert [r.status for r in replies] == ["computed"]
-        assert host.service.counters["busy_rejections"] == 1
+        assert host.service.metrics.counter_value("service.busy_rejections") == 1
     assert metrics.counters["service.busy"] == 1
     assert metrics.counters["service.retries"] == 1
     # The wait respected the server's Retry-After hint.
@@ -287,16 +287,16 @@ def test_idle_connections_are_reaped(tmp_path):
         client = ServiceClient(host.url, timeout=30).connect()
         assert client.ping()  # active connections are served
         for _ in range(600):
-            if host.service.counters["idle_closed"] >= 1:
+            if host.service.metrics.counter_value("service.idle_closed") >= 1:
                 break
             time.sleep(0.05)
-        assert host.service.counters["idle_closed"] == 1
+        assert host.service.metrics.counter_value("service.idle_closed") == 1
         # The reaped socket surfaces as a clean typed error client-side.
         with pytest.raises(ServiceError):
             client.ping()
         client.close()
         # An idle close is not an abort: no stream was in flight.
-        assert host.service.counters["aborted_streams"] == 0
+        assert host.service.metrics.counter_value("service.aborted_streams") == 0
 
 
 # -- graceful drain ------------------------------------------------------------
@@ -340,10 +340,10 @@ def test_graceful_drain_finishes_in_flight_work(tmp_path):
         drainer = threading.Thread(target=host.stop, kwargs={"drain": True})
         drainer.start()
         for _ in range(600):
-            if host.service.counters["drains"] == 1:
+            if host.service.metrics.counter_value("service.drain_started") == 1:
                 break
             time.sleep(0.05)
-        assert host.service.counters["drains"] == 1
+        assert host.service.metrics.counter_value("service.drain_started") == 1
 
         # A surviving connection is refused admission while draining.
         with pytest.raises(ServiceBusy, match="draining"):
@@ -393,7 +393,7 @@ def test_fallen_back_campaign_reconnects_when_the_daemon_returns(tmp_path):
         second = campaign.run_trials([trial(1)])
         assert all(r.ok for r in second)
         # The probe reconnected and the batch ran remotely.
-        assert host.service.counters["computed"] == 1
+        assert host.service.metrics.counter_value("service.computed") == 1
     campaign.close()
 
     assert not campaign._remote_down

@@ -17,13 +17,15 @@ import pytest
 from repro.campaign import Campaign
 from repro.experiments.config import TrialSpec
 from repro.obs.registry import MetricsRegistry
+from repro.obs.telemetry import read_telemetry, records_of_kind
 from repro.service import (
     ServiceCampaign,
     ServiceClient,
     ServiceError,
     TrialService,
 )
-from repro.service.server import ServiceThread
+from repro.service.client import ServiceBusy
+from repro.service.server import STATS_COUNTERS, ServiceThread
 
 
 def trial(seed: int = 0, **overrides) -> TrialSpec:
@@ -93,7 +95,7 @@ def test_cold_and_warm_outcomes_are_byte_identical_to_inline(
     with ServiceClient(daemon.url) as client:
         assert [r.status for r in client.submit(specs)] == ["hit"] * 4
 
-    counters = daemon.service.counters
+    counters = daemon.service.stats_counters()
     assert counters["computed"] == 4
     assert counters["hits"] == 8
 
@@ -117,11 +119,36 @@ def test_service_campaign_is_a_drop_in_campaign(daemon, tmp_path):
         assert [r.cached for r in again] == [True] * 3
         assert wires(again) == expected
         assert metrics.counters["campaign.memo_hits"] == 3
-        assert daemon.service.counters["requests"] == 1
+        assert daemon.service.metrics.counter_value("service.requests") == 1
 
     # Telemetry flagged the remote trials.
     telemetry = (tmp_path / "local" / "telemetry.jsonl").read_text()
     assert '"via": "service"' in telemetry or '"via":"service"' in telemetry
+
+
+def test_service_batch_writes_the_telemetry_a_local_batch_writes(
+    daemon, tmp_path
+):
+    """One batch leaves the same bookkeeping whether it ran locally or
+    through the daemon: one ``phase`` record, one ``trial`` record per
+    spec (flagged ``via: service`` remotely), one run_trials span."""
+    specs = [trial(s) for s in range(3)]
+    for via, make in (
+        (None, Campaign),
+        ("service", lambda **kw: ServiceCampaign(daemon.url, **kw)),
+    ):
+        cache = tmp_path / (via or "local")
+        metrics = MetricsRegistry()
+        with make(cache_dir=cache, workers=0, metrics=metrics) as campaign:
+            assert all(r.ok for r in campaign.run_trials(specs))
+        records, skipped = read_telemetry(cache)
+        assert skipped == 0
+        (phase,) = records_of_kind(records, "phase")
+        assert phase.data["trials"] == 3 and phase.data["executed"] == 3
+        assert phase.data.get("via") == via
+        trials = records_of_kind(records, "trial")
+        assert [t.data.get("via") for t in trials] == [via] * 3
+        assert metrics.spans["campaign.run_trials"].count == 1
 
 
 def test_failed_trials_come_back_as_failed_results(daemon, tmp_path):
@@ -182,14 +209,14 @@ def test_concurrent_clients_dedup_onto_one_computation(tmp_path):
         second.start()
         deadline = threading.Event()
         for _ in range(600):  # b's claims land on the loop thread
-            if host.service.counters["dedup_inflight"] == 2:
+            if host.service.metrics.counter_value("service.dedup_inflight") == 2:
                 break
             deadline.wait(0.05)
-        assert host.service.counters["dedup_inflight"] == 2
+        assert host.service.metrics.counter_value("service.dedup_inflight") == 2
         release.set()
         first.join(timeout=120)
         second.join(timeout=120)
-        counters = dict(host.service.counters)
+        counters = host.service.stats_counters()
 
     assert [r.status for r in replies["a"]] == ["computed", "computed"]
     assert [r.status for r in replies["b"]] == ["dedup", "dedup", "computed"]
@@ -205,6 +232,87 @@ def test_concurrent_clients_dedup_onto_one_computation(tmp_path):
     assert counters["dedup_inflight"] == 2
     # Deduplicated replies carry byte-identical wires to the computed ones.
     assert wires(replies["b"][:2]) == wires(replies["a"])
+
+
+@pytest.mark.parametrize("campaign_metrics", [False, True])
+def test_stats_counters_are_the_registry_counters(tmp_path, campaign_metrics):
+    """The ``stats`` frame reads the daemon's one registry: after a
+    session with a computed trial, an in-flight dedup, a store hit, a
+    malformed frame and a busy rejection, every one of the 13 counters
+    equals its ``service.*`` registry counter and counts its event
+    exactly once, whether the campaign's metrics are on or off."""
+    campaign = Campaign(
+        cache_dir=tmp_path / "shared",
+        workers=0,
+        store_backend="sharded",
+        metrics=MetricsRegistry() if campaign_metrics else None,
+    )
+    started = threading.Event()
+    release = threading.Event()
+    real_run_trials = campaign.run_trials
+
+    def gated(specs, **kwargs):
+        started.set()
+        assert release.wait(timeout=60)
+        return real_run_trials(specs, **kwargs)
+
+    campaign.run_trials = gated
+    replies: dict[str, list] = {}
+
+    def run_client(name: str) -> None:
+        with ServiceClient(host.url, timeout=120) as client:
+            replies[name] = client.submit([trial(0)])
+
+    with ServiceThread(
+        campaign, unix_path=str(tmp_path / "svc.sock"), max_pending=2
+    ) as host:
+        registry = host.service.metrics
+        if campaign_metrics:
+            assert registry is campaign.metrics
+        first = threading.Thread(target=run_client, args=("a",))
+        first.start()
+        assert started.wait(timeout=60)  # trial 0 is being computed
+        second = threading.Thread(target=run_client, args=("b",))
+        second.start()
+        for _ in range(600):
+            if registry.counter_value("service.dedup_inflight") == 1:
+                break
+            threading.Event().wait(0.05)
+        release.set()
+        first.join(timeout=120)
+        second.join(timeout=120)
+
+        with ServiceClient(host.url, timeout=30) as client:
+            assert [r.status for r in client.submit([trial(0)])] == ["hit"]
+            client._sock.sendall(b"this is not json\n")
+            assert client._read_frame()["op"] == "error"
+            with pytest.raises(ServiceBusy):
+                client.submit([trial(s) for s in range(1, 4)])
+            stats = client.stats()["counters"]
+
+    assert [r.status for r in replies["a"]] == ["computed"]
+    assert [r.status for r in replies["b"]] == ["dedup"]
+    assert stats == {
+        key: registry.counter_value(name) for key, name in STATS_COUNTERS.items()
+    }
+    assert stats == {
+        "connections": 3,
+        "requests": 3,
+        "trials": 3,
+        "hits": 1,
+        "computed": 1,
+        "dedup_inflight": 1,
+        "failed": 0,
+        "errors": 1,
+        "busy_rejections": 1,
+        "aborted_streams": 0,
+        "idle_closed": 0,
+        "injected_faults": 0,
+        "drains": 0,
+    }
+    # No event is counted a second time under another service.* name.
+    service_names = {n for n in registry.counters if n.startswith("service.")}
+    assert service_names <= set(STATS_COUNTERS.values())
 
 
 # -- failure posture -----------------------------------------------------------
